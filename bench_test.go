@@ -598,12 +598,23 @@ func BenchmarkGPSError(b *testing.B)    { benchExperiment(b, experiments.E14GPSE
 
 // --- result store: bounded retention and cursor reads ------------------------
 
-// BenchmarkResultStore measures the serving-side result path: steady-state
-// ring writes (the wrap variant overwrites constantly, the roomy variant
-// never wraps) and cursor-paginated reads into borrowed buffers, which must
-// stay allocation-free.
+// BenchmarkResultStore measures the serving-side result path: what one
+// epoch's results cost a fresh store (process: B/op is the memory a query
+// pays for 512 retained tuples), steady-state ring writes (the wrap variant
+// overwrites constantly, the roomy variant never wraps) and
+// cursor-paginated reads into borrowed buffers, which must stay
+// allocation-free.
 func BenchmarkResultStore(b *testing.B) {
 	batch := benchBatch(512, 14)
+	b.Run("process", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := stream.NewResultStore(0).Process(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(batch.Len()))
+	})
 	b.Run("write/retention=65536", func(b *testing.B) {
 		store := stream.NewResultStore(1 << 16)
 		b.ReportAllocs()
@@ -648,6 +659,41 @@ func BenchmarkResultStore(b *testing.B) {
 		}
 		b.SetBytes(512)
 	})
+}
+
+// BenchmarkSubmitIdleStore measures what one more resident query costs
+// before anything is fabricated for it: a copy of a resident query attaches
+// to the shared subplan, so B/op is dominated by the query's ResultStore
+// and the submit/delete bookkeeping around it.
+func BenchmarkSubmitIdleStore(b *testing.B) {
+	region := geom.NewRect(0, 0, 8, 8)
+	e, err := server.New(server.Config{
+		Region:    region,
+		GridCells: 16,
+		Epoch:     1,
+		Budget:    budget.Config{Initial: 20, Delta: 5, Min: 5, Max: 200, ViolationThreshold: 10},
+		Fleet:     sensors.FleetConfig{N: 100, Response: sensors.ResponseModel{BaseProb: 0.7, MaxProb: 0.95, IncentiveScale: 1}},
+		Seed:      1,
+	}, benchFields(b, region))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = e.Shutdown() }()
+	q := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 4, 4), Rate: 5}
+	if _, err := e.Submit(q); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stored, err := e.Submit(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := e.Delete(stored.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // --- substrate micro-benchmarks ---------------------------------------------

@@ -422,7 +422,10 @@ func (g *Gateway) nodeDurable(ctx context.Context, base string) ([]string, error
 // owner by WAL replay. Sessions mid-move are marked pending — the router
 // answers 503 + Retry-After for them until the move completes — so a
 // request can never interleave with a handoff and reach two engines.
-// Safe to call concurrently; passes single-flight.
+// The new ring and the pending marks are published in one critical
+// section: a request routed by the new ring to an owner that does not yet
+// host a displaced session would otherwise get a terminal 404 instead of
+// a retryable 503. Safe to call concurrently; passes single-flight.
 func (g *Gateway) Reconcile(ctx context.Context) {
 	g.reconcileMu.Lock()
 	defer g.reconcileMu.Unlock()
@@ -435,13 +438,6 @@ func (g *Gateway) Reconcile(ctx context.Context) {
 		urls[n.Name] = n.URL
 	}
 	ring := BuildRing(names, g.cfg.VirtualNodes)
-	g.mu.Lock()
-	g.ring = ring
-	g.nodeURL = urls
-	g.mu.Unlock()
-	if len(healthy) == 0 {
-		return
-	}
 
 	// The durability volume is shared, so any node's answer covers the
 	// cluster — but take the union anyway in case a deployment gives each
@@ -479,6 +475,12 @@ func (g *Gateway) Reconcile(ctx context.Context) {
 		sessions = append(sessions, s)
 	}
 	sort.Strings(sessions)
+	type move struct {
+		session, owner string
+		ownerLive      bool
+		misplaced      []string // sorted
+	}
+	var moves []move
 	for _, s := range sessions {
 		owner := ring.Owner(s)
 		ownerLive := contains(live[owner], s)
@@ -498,10 +500,22 @@ func (g *Gateway) Reconcile(ctx context.Context) {
 			g.cfg.Logf("cluster: session %q live on %v but owned by %s and not durable; leaving in place", s, misplaced, owner)
 			continue
 		}
-		g.setPending(s, true)
-		ok := true
 		sort.Strings(misplaced)
-		for _, node := range misplaced {
+		moves = append(moves, move{session: s, owner: owner, ownerLive: ownerLive, misplaced: misplaced})
+	}
+
+	g.mu.Lock()
+	g.ring = ring
+	g.nodeURL = urls
+	for _, m := range moves {
+		g.pending[m.session] = true
+	}
+	g.mu.Unlock()
+
+	for _, m := range moves {
+		s, owner := m.session, m.owner
+		ok := true
+		for _, node := range m.misplaced {
 			if err := g.postJSON(ctx, urls[node]+"/v1/node/sessions/"+url.PathEscape(s)+"/release", nil); err != nil {
 				g.cfg.Logf("cluster: release %q on %s: %v", s, node, err)
 				ok = false
@@ -509,7 +523,7 @@ func (g *Gateway) Reconcile(ctx context.Context) {
 				g.cfg.Logf("cluster: released %q on %s (owner is %s)", s, node, owner)
 			}
 		}
-		if ok && !ownerLive {
+		if ok && !m.ownerLive {
 			if err := g.postJSON(ctx, urls[owner]+"/v1/node/sessions/"+url.PathEscape(s)+"/recover", nil); err != nil {
 				g.cfg.Logf("cluster: recover %q on %s: %v", s, owner, err)
 				ok = false
@@ -518,21 +532,17 @@ func (g *Gateway) Reconcile(ctx context.Context) {
 			}
 		}
 		if ok {
-			g.setPending(s, false)
+			g.clearPending(s)
 		}
 		// On failure the session stays pending: the router keeps answering
 		// retryable 503s and the next Run tick retries the move.
 	}
 }
 
-func (g *Gateway) setPending(session string, v bool) {
+func (g *Gateway) clearPending(session string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if v {
-		g.pending[session] = true
-	} else {
-		delete(g.pending, session)
-	}
+	delete(g.pending, session)
 }
 
 func contains(list []string, s string) bool {

@@ -214,9 +214,17 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// session resolves a session name, writing the 404 itself on a miss.
+// session resolves a session name, writing the error response itself on a
+// miss: 404 for an unknown session, 503 once the manager is closed.
 func (s *HTTPServer) session(w http.ResponseWriter, name string) *Session {
 	sess, err := s.manager.Get(name)
+	if errors.Is(err, ErrManagerClosed) {
+		// Shutting down: a reconnecting reader must retry (elsewhere, in
+		// a cluster), not conclude the session is gone.
+		w.Header().Set("Retry-After", strconv.Itoa(IngestRetryAfterSeconds))
+		s.writeError(w, http.StatusServiceUnavailable, err)
+		return nil
+	}
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, err)
 		return nil

@@ -405,3 +405,28 @@ func TestWriteJSONLogsEncodeFailure(t *testing.T) {
 		t.Fatalf("spurious log: %v", logged)
 	}
 }
+
+// TestHTTPClosedManagerIsUnavailable pins the shutdown contract for
+// session-scoped routes: between Manager.Close and the listener closing, a
+// reconnecting stream reader must get a retryable 503 + Retry-After, not a
+// 404 that clients read as the session being gone for good.
+func TestHTTPClosedManagerIsUnavailable(t *testing.T) {
+	ts, s := newManagerTestServer(t)
+	c := ts.Client()
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions", `{"name":"a"}`, 201, nil)
+	doJSON(t, c, "POST", ts.URL+"/v1/sessions/a/queries", "ACQUIRE rain FROM RECT(0,0,4,4) RATE 5", 201, nil)
+	if err := s.manager.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/sessions/a", "/v1/sessions/a/results/Q1/stream", "/v1/sessions/zzz"} {
+		resp, err := c.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("GET %s after Close = %d (Retry-After %q), want 503 with Retry-After",
+				path, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+}

@@ -444,6 +444,11 @@ var ErrSessionExists = errors.New("server: session already exists")
 // ErrNoSession is returned when resolving an unknown session.
 var ErrNoSession = errors.New("server: no such session")
 
+// ErrManagerClosed is returned once the manager has been closed. Session
+// routes answer it with a retryable 503, not a 404: the process is going
+// away, the session (on a durable node) is not.
+var ErrManagerClosed = errors.New("server: manager closed")
+
 // ErrTooManySessions is returned when the manager is at MaxSessions.
 var ErrTooManySessions = errors.New("server: session limit reached")
 
@@ -453,7 +458,7 @@ func (m *Manager) Create(spec SessionSpec) (*Session, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return nil, errors.New("server: manager closed")
+		return nil, ErrManagerClosed
 	}
 	m.gcLocked()
 	if spec.Name == "" {
@@ -506,7 +511,7 @@ func (m *Manager) Create(spec SessionSpec) (*Session, error) {
 		delete(m.sessions, spec.Name)
 		m.mu.Unlock()
 		_ = engine.Shutdown()
-		return nil, errors.New("server: manager closed")
+		return nil, ErrManagerClosed
 	}
 	m.sessions[spec.Name] = sess
 	m.mu.Unlock()
@@ -666,7 +671,7 @@ func (m *Manager) Adopt(name string, e *Engine) (*Session, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, errors.New("server: manager closed")
+		return nil, ErrManagerClosed
 	}
 	if _, taken := m.sessions[name]; taken {
 		return nil, fmt.Errorf("%w: %q", ErrSessionExists, name)
@@ -681,12 +686,16 @@ func (m *Manager) Adopt(name string, e *Engine) (*Session, error) {
 	return sess, nil
 }
 
-// Get resolves a session by name, refreshing its idle-GC deadline.
+// Get resolves a session by name, refreshing its idle-GC deadline. Once
+// the manager is closed every name resolves to ErrManagerClosed.
 func (m *Manager) Get(name string) (*Session, error) {
 	m.mu.Lock()
 	m.gcLocked()
-	sess := m.sessions[name]
+	sess, closed := m.sessions[name], m.closed
 	m.mu.Unlock()
+	if closed {
+		return nil, ErrManagerClosed
+	}
 	if sess == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNoSession, name)
 	}

@@ -2,9 +2,11 @@ package stream
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/geom"
 )
@@ -217,5 +219,74 @@ func TestResultStoreDefaultRetention(t *testing.T) {
 	s := NewResultStore(0)
 	if s.Retention() != DefaultRetention {
 		t.Fatalf("retention = %d", s.Retention())
+	}
+}
+
+// TestResultStoreEmptyHoldsNoRing pins the lazy allocation: a store that
+// has retained nothing owns no ring, yet reports its configured capacity.
+func TestResultStoreEmptyHoldsNoRing(t *testing.T) {
+	s := NewResultStore(1000)
+	if s.Retention() != 1000 {
+		t.Fatalf("empty store retention = %d, want 1000", s.Retention())
+	}
+	if err := s.Process(Batch{Attr: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if s.ring != nil {
+		t.Fatalf("empty store holds a %d-record ring", len(s.ring))
+	}
+	if err := s.Process(storeBatch(0, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.ring) != 5 || s.Retention() != 1000 {
+		t.Fatalf("after 5 tuples: ring %d records, retention %d", len(s.ring), s.Retention())
+	}
+}
+
+// TestResultStoreRecordIsPointerFree pins the ring's record layout: 48
+// bytes with no pointer field, so the GC never scans ring memory.
+func TestResultStoreRecordIsPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(record{}); size != 48 {
+		t.Fatalf("record is %d bytes, want 48", size)
+	}
+}
+
+// TestResultStoreAttrMismatch pins that a store serves one attribute: a
+// batch carrying a tuple of another attribute is refused whole and leaves
+// the store untouched.
+func TestResultStoreAttrMismatch(t *testing.T) {
+	s := NewResultStore(8)
+	if err := s.Process(storeBatch(0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	bad := storeBatch(3, 3)
+	bad.Tuples[2].Attr = "b"
+	err := s.Process(bad)
+	if err == nil || !strings.Contains(err.Error(), `"a"`) || !strings.Contains(err.Error(), `"b"`) {
+		t.Fatalf("mixed-attribute batch: err = %v", err)
+	}
+	if s.Total() != 3 || s.Batches() != 1 || s.Len() != 3 {
+		t.Fatalf("refused batch changed the store: total=%d batches=%d len=%d", s.Total(), s.Batches(), s.Len())
+	}
+	for _, tp := range s.Tuples() {
+		if tp.Attr != "a" || tp.ID >= 3 {
+			t.Fatalf("retained tuple %v after refused batch", tp)
+		}
+	}
+	// The first tuple ever appended fixes the attribute; a refused first
+	// batch fixes nothing.
+	fresh := NewResultStore(8)
+	if err := fresh.Process(bad); err == nil {
+		t.Fatal("mixed-attribute first batch accepted")
+	}
+	other := storeBatch(0, 2)
+	for i := range other.Tuples {
+		other.Tuples[i].Attr = "b"
+	}
+	if err := fresh.Process(other); err != nil {
+		t.Fatalf("store refused its first valid batch: %v", err)
+	}
+	if got := fresh.Tuples(); len(got) != 2 || got[0].Attr != "b" {
+		t.Fatalf("tuples = %v", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -328,11 +329,8 @@ func (f *Fabricator) DeleteQuery(id string) error {
 	if !st.fan.remove(id) {
 		return fmt.Errorf("topology: DeleteQuery: query %q not in its subplan's fan", id)
 	}
-	for i, ref := range st.refs {
-		if ref == id {
-			st.refs = append(st.refs[:i], st.refs[i+1:]...)
-			break
-		}
+	if i := slices.Index(st.refs, id); i >= 0 {
+		st.refs = slices.Delete(st.refs, i, i+1)
 	}
 	delete(f.queries, id)
 	f.registry.Remove(id)

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/stream"
 )
@@ -40,14 +41,15 @@ func (f *fanOut) add(id string, sink stream.Processor) {
 
 // remove detaches a member's sink; false when the id is not a member.
 func (f *fanOut) remove(id string) bool {
-	for i, got := range f.ids {
-		if got == id {
-			f.ids = append(f.ids[:i], f.ids[i+1:]...)
-			f.sinks = append(f.sinks[:i], f.sinks[i+1:]...)
-			return true
-		}
+	i := slices.Index(f.ids, id)
+	if i < 0 {
+		return false
 	}
-	return false
+	// slices.Delete zeroes the vacated tail slot, so the backing array
+	// does not keep the removed sink (and its result store) reachable.
+	f.ids = slices.Delete(f.ids, i, i+1)
+	f.sinks = slices.Delete(f.sinks, i, i+1)
+	return true
 }
 
 // SharedStats snapshots the fabricator's subplan-sharing accounting for

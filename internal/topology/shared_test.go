@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/query"
@@ -281,4 +283,46 @@ func TestSharedChurnSublinear(t *testing.T) {
 			t.Fatalf("operator %s grew with residency: %d at 100 vs %d at 1000", op, c100[op], n)
 		}
 	}
+}
+
+// TestSharedDeleteReleasesSink pins that detaching a member from a shared
+// subplan drops every reference to its sink: a deleted query's closed
+// ResultStore must be collectable while the surviving members keep the
+// subplan alive.
+func TestSharedDeleteReleasesSink(t *testing.T) {
+	f := newFab(t, fig2Grid(t), Config{})
+	q := query.Query{Attr: "rain", Region: geom.NewRect(0, 0, 4, 4), Rate: 6}
+	keep := stream.NewResultStore(64)
+	if _, err := f.InsertQuery(q, keep); err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	// Built in a closure so no stack slot keeps the store reachable.
+	id := func() string {
+		store := stream.NewResultStore(64)
+		runtime.AddCleanup(store, func(ch chan struct{}) { close(ch) }, collected)
+		stored, err := f.InsertQuery(q, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stored.ID
+	}()
+	sharedFeed(t, f, 7, 0)
+	if err := f.DeleteQuery(id); err != nil {
+		t.Fatal(err)
+	}
+	sharedFeed(t, f, 7, 1)
+	if keep.Total() == 0 {
+		t.Fatal("surviving member received nothing")
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(f)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("deleted member's sink is still reachable from the fabricator")
 }

@@ -6,7 +6,8 @@
 #   BENCH='BenchmarkResultStore' scripts/bench.sh   # bounded result-store path
 #
 # BENCH filters benchmarks (default: all, including BenchmarkResultStore's
-# ring write/wraparound/cursor-read suite, BenchmarkFusedPipeline's
+# fresh-store/ring write/wraparound/cursor-read suite and
+# BenchmarkSubmitIdleStore's per-query store cost, BenchmarkFusedPipeline's
 # fused-vs-unfused depth/batch matrix, the ingest wire suite —
 # BenchmarkWireDecode's zero-alloc JSON/binary batch decode,
 # BenchmarkIngestAck's pooled ack rendering, BenchmarkIngest's per-codec
